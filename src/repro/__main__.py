@@ -33,7 +33,9 @@ Commands
 
 ``parallelize FILE.c``
     Detect, plan, outline and run the program sequentially and on the
-    simulated multicore machine; reports the simulated speedup.
+    simulated multicore machine; reports the simulated speedup.  A
+    runtime fault (out-of-bounds access, division by zero, math domain
+    error, ...) prints one ``error:`` line and exits with status 2.
 
 ``corpus``
     Run detection over the built-in 40-program corpus through the
@@ -111,7 +113,12 @@ import sys
 
 from . import compile_source, find_reductions, outline_loop, plan_all
 from .ir import print_module
-from .runtime import MachineModel, ParallelExecutor
+from .runtime import (
+    InterpreterError,
+    MachineModel,
+    MemoryError_,
+    ParallelExecutor,
+)
 from .runtime.parallel import run_sequential
 
 
@@ -324,9 +331,13 @@ def _cmd_parallelize(args) -> int:
     if not tasks:
         print("nothing to parallelize")
         return 1
-    _, _, sequential = run_sequential(module, entry=args.entry)
-    executor = ParallelExecutor(module, tasks, threads=args.threads)
-    result = executor.run(entry=args.entry)
+    try:
+        _, _, sequential = run_sequential(module, entry=args.entry)
+        executor = ParallelExecutor(module, tasks, threads=args.threads)
+        result = executor.run(entry=args.entry)
+    except (InterpreterError, MemoryError_) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if result.output != sequential.output:
         print("ERROR: parallel output diverged", file=sys.stderr)
         return 2

@@ -6,6 +6,13 @@ match sequential execution bit-for-bit for integer data), it counts
 dynamically executed instructions per basic block — the measure behind
 the runtime-coverage experiment (Figures 12–14) and the simulated
 machine times of Figure 15.
+
+Each basic block is compiled to one Python function the first time an
+:class:`Interpreter` enters it (see :mod:`repro.runtime.blocks`); later
+visits reuse it.  The dispatch loop in :meth:`Interpreter._run` keeps the
+per-block contract the profiler and the parallel executor rely on:
+loop overrides are consulted before a block runs, and the instruction
+budget and per-block counters are updated once per visit.
 """
 
 from __future__ import annotations
@@ -14,85 +21,70 @@ import math
 
 from ..ir.block import BasicBlock
 from ..ir.function import Function
-from ..ir.instructions import (
-    AllocaInst,
-    BinaryInst,
-    BranchInst,
-    CallInst,
-    CastInst,
-    FCmpInst,
-    GEPInst,
-    ICmpInst,
-    LoadInst,
-    PhiInst,
-    ReturnInst,
-    SelectInst,
-    StoreInst,
-)
 from ..ir.module import Module
-from ..ir.types import FloatType, IntType
+from ..ir.types import FloatType
 from ..ir.values import (
-    Argument,
     ConstantFloat,
     ConstantInt,
     GlobalVariable,
     UndefValue,
     Value,
 )
-from .memory import Buffer, Memory, Pointer
+from .memory import Memory
 
 
 class InterpreterError(Exception):
     """Raised on runtime errors (OOB, budget exhausted, missing main)."""
 
 
-def _c_div(a: int, b: int) -> int:
-    if b == 0:
-        raise InterpreterError("integer division by zero")
-    quotient = abs(a) // abs(b)
-    return quotient if (a >= 0) == (b >= 0) else -quotient
+def _fail(message: str):
+    raise InterpreterError(message)
 
 
-def _c_rem(a: int, b: int) -> int:
-    return a - _c_div(a, b) * b
+def _rand(interp: "Interpreter") -> int:
+    interp.seed = (interp.seed * 1103515245 + 12345) & 0x7FFFFFFF
+    return interp.seed
 
 
-_INT_BINOPS = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "sdiv": _c_div,
-    "srem": _c_rem,
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
-    "shl": lambda a, b: a << b,
-    "ashr": lambda a, b: a >> b,
-}
+def _srand(interp: "Interpreter", seed: int) -> None:
+    interp.seed = seed & 0x7FFFFFFF
 
-_FLOAT_BINOPS = {
-    "fadd": lambda a, b: a + b,
-    "fsub": lambda a, b: a - b,
-    "fmul": lambda a, b: a * b,
-    "fdiv": lambda a, b: a / b,
-}
 
-_ICMP = {
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-    "slt": lambda a, b: a < b,
-    "sle": lambda a, b: a <= b,
-    "sgt": lambda a, b: a > b,
-    "sge": lambda a, b: a >= b,
-}
+def _clock(interp: "Interpreter") -> int:
+    interp._clock += 1
+    return interp._clock
 
-_FCMP = {
-    "oeq": lambda a, b: a == b,
-    "one": lambda a, b: a != b,
-    "olt": lambda a, b: a < b,
-    "ole": lambda a, b: a <= b,
-    "ogt": lambda a, b: a > b,
-    "oge": lambda a, b: a >= b,
+
+def _print_int(interp: "Interpreter", value) -> None:
+    interp.output.append(str(value))
+
+
+def _print_double(interp: "Interpreter", value) -> None:
+    interp.output.append(f"{value:.6f}")
+
+
+#: Intrinsic name -> (callable, whether it takes the interpreter first).
+_INTRINSICS = {
+    "sqrt": (math.sqrt, False),
+    "log": (math.log, False),
+    "exp": (math.exp, False),
+    "fabs": (abs, False),
+    "sin": (math.sin, False),
+    "cos": (math.cos, False),
+    "floor": (math.floor, False),
+    "ceil": (math.ceil, False),
+    "pow": (math.pow, False),
+    "fmin": (min, False),
+    "fmax": (max, False),
+    "fmod": (math.fmod, False),
+    "abs": (abs, False),
+    "min": (min, False),
+    "max": (max, False),
+    "rand": (_rand, True),
+    "srand": (_srand, True),
+    "clock": (_clock, True),
+    "print_int": (_print_int, True),
+    "print_double": (_print_double, True),
 }
 
 
@@ -109,6 +101,9 @@ class Interpreter:
         Seed of the deterministic ``rand()`` intrinsic.
     max_instructions:
         Execution budget; exceeded budgets raise :class:`InterpreterError`.
+
+    Compiled blocks are cached for the interpreter's lifetime, so the
+    IR must not be mutated while an interpreter is running it.
     """
 
     def __init__(
@@ -133,6 +128,8 @@ class Interpreter:
         #: handler receives (interpreter, frame, header) and returns the
         #: block execution continues from.
         self.loop_overrides: dict[int, object] = {}
+        #: id(block) -> its compiled Python function.
+        self._compiled: dict[int, object] = {}
 
     # -- public API --------------------------------------------------------
 
@@ -147,7 +144,8 @@ class Interpreter:
         if isinstance(function, str):
             function = self.module.get_function(function)
         if function.is_declaration:
-            return self._intrinsic(function, args)
+            self.instructions_executed += 1
+            return self._intrinsic(function.name)(*args)
         return self._run(function, args)
 
     def instructions_in_blocks(self, blocks) -> int:
@@ -162,115 +160,49 @@ class Interpreter:
             frame[id(argument)] = value
         block = function.entry
         previous: BasicBlock | None = None
+        overrides = self.loop_overrides
+        counts = self.block_counts
+        compiled = self._compiled
         while True:
-            handler = self.loop_overrides.get(id(block))
+            key = id(block)
+            handler = overrides.get(key)
             if handler is not None:
                 previous, block = block, handler(self, frame, block)
                 continue
             count = len(block.instructions)
             self.instructions_executed += count
-            self.block_counts[id(block)] = (
-                self.block_counts.get(id(block), 0) + count
-            )
+            counts[key] = counts.get(key, 0) + count
             if self.instructions_executed > self.max_instructions:
                 raise InterpreterError("instruction budget exhausted")
-
-            # PHIs evaluate simultaneously from the incoming edge.
-            phis = block.phis()
-            if phis:
-                incoming = [
-                    self._value(phi.incoming_for_block(previous), frame)
-                    for phi in phis
-                ]
-                for phi, value in zip(phis, incoming):
-                    frame[id(phi)] = value
-
-            for instruction in block.instructions[len(phis):]:
-                if isinstance(instruction, BranchInst):
-                    if instruction.is_conditional:
-                        taken = self._value(instruction.condition, frame)
-                        target = instruction.targets()[0 if taken else 1]
-                    else:
-                        target = instruction.targets()[0]
-                    previous, block = block, target
-                    break
-                if isinstance(instruction, ReturnInst):
-                    if instruction.return_value is None:
-                        return None
-                    return self._value(instruction.return_value, frame)
-                self._execute(instruction, frame)
-            else:
+            code = compiled.get(key)
+            if code is None:
+                code = compiled[key] = self._compile(block)
+            try:
+                target = code(self, frame, previous)
+            except KeyError as error:
+                value = code.reads.get(error.args[0]) if error.args else None
+                if value is None:
+                    raise
                 raise InterpreterError(
-                    f"block {block.name} fell through without terminator"
-                )
+                    f"use of undefined value {value!r}"
+                ) from None
+            except (ArithmeticError, ValueError) as error:
+                raise InterpreterError(
+                    f"{_fault_site(code, error)} in {function.name}: {error}"
+                ) from error
+            if target.__class__ is tuple:
+                return target[0]
+            previous, block = block, target
 
-    def _execute(self, instruction, frame) -> None:
-        if isinstance(instruction, BinaryInst):
-            lhs = self._value(instruction.lhs, frame)
-            rhs = self._value(instruction.rhs, frame)
-            table = (
-                _FLOAT_BINOPS
-                if instruction.opcode in _FLOAT_BINOPS
-                else _INT_BINOPS
-            )
-            frame[id(instruction)] = table[instruction.opcode](lhs, rhs)
-        elif isinstance(instruction, ICmpInst):
-            frame[id(instruction)] = _ICMP[instruction.predicate](
-                self._value(instruction.lhs, frame),
-                self._value(instruction.rhs, frame),
-            )
-        elif isinstance(instruction, FCmpInst):
-            frame[id(instruction)] = _FCMP[instruction.predicate](
-                self._value(instruction.lhs, frame),
-                self._value(instruction.rhs, frame),
-            )
-        elif isinstance(instruction, LoadInst):
-            pointer = self._value(instruction.pointer, frame)
-            frame[id(instruction)] = pointer.load()
-        elif isinstance(instruction, StoreInst):
-            pointer = self._value(instruction.pointer, frame)
-            pointer.store(self._value(instruction.value, frame))
-        elif isinstance(instruction, GEPInst):
-            pointer = self._value(instruction.base, frame)
-            delta = self._value(instruction.index, frame)
-            frame[id(instruction)] = pointer.displaced(delta)
-        elif isinstance(instruction, CallInst):
-            args = [self._value(a, frame) for a in instruction.args]
-            frame[id(instruction)] = self.call(instruction.callee, args)
-        elif isinstance(instruction, SelectInst):
-            taken = self._value(instruction.condition, frame)
-            chosen = instruction.if_true if taken else instruction.if_false
-            frame[id(instruction)] = self._value(chosen, frame)
-        elif isinstance(instruction, CastInst):
-            frame[id(instruction)] = self._cast(instruction, frame)
-        elif isinstance(instruction, AllocaInst):
-            buffer = Buffer(
-                instruction.allocated_type,
-                instruction.count,
-                instruction.name or "alloca",
-            )
-            frame[id(instruction)] = Pointer(buffer, 0)
-        elif isinstance(instruction, PhiInst):
-            raise InterpreterError("phi outside block head")
-        else:
-            raise InterpreterError(f"cannot execute {instruction!r}")
+    def _compile(self, block: BasicBlock):
+        # Imported here: detection never runs a program, so processes
+        # that only detect do not pay for loading the block compiler.
+        from .blocks import BlockCompiler
 
-    def _cast(self, instruction: CastInst, frame):
-        value = self._value(instruction.value, frame)
-        opcode = instruction.opcode
-        if opcode == "sitofp":
-            return float(value)
-        if opcode == "fptosi":
-            return int(value)
-        if opcode in ("zext", "sext"):
-            return int(value)
-        if opcode == "trunc":
-            return int(value)
-        if opcode in ("fpext", "fptrunc"):
-            return float(value)
-        raise InterpreterError(f"unknown cast {opcode}")
+        return BlockCompiler(self.memory, block).compile()
 
     def _value(self, value: Value, frame):
+        """The runtime value of ``value`` in ``frame`` (for loop handlers)."""
         if isinstance(value, ConstantInt):
             return value.value
         if isinstance(value, ConstantFloat):
@@ -284,54 +216,23 @@ class Interpreter:
             return frame[key]
         raise InterpreterError(f"use of undefined value {value!r}")
 
-    # -- intrinsics ---------------------------------------------------------
+    def _intrinsic(self, name: str):
+        """The callable behind intrinsic ``name``, bound to this run."""
+        entry = _INTRINSICS.get(name)
+        if entry is None:
+            return lambda *args: _fail(f"unknown intrinsic {name}")
+        function, stateful = entry
+        if stateful:
+            return lambda *args: function(self, *args)
+        return function
 
-    def _intrinsic(self, function: Function, args: list):
-        name = function.name
-        self.instructions_executed += 1
-        if name == "sqrt":
-            return math.sqrt(args[0])
-        if name == "log":
-            return math.log(args[0])
-        if name == "exp":
-            return math.exp(args[0])
-        if name == "fabs":
-            return abs(args[0])
-        if name == "sin":
-            return math.sin(args[0])
-        if name == "cos":
-            return math.cos(args[0])
-        if name == "floor":
-            return math.floor(args[0])
-        if name == "ceil":
-            return math.ceil(args[0])
-        if name == "pow":
-            return math.pow(args[0], args[1])
-        if name == "fmin":
-            return min(args[0], args[1])
-        if name == "fmax":
-            return max(args[0], args[1])
-        if name == "fmod":
-            return math.fmod(args[0], args[1])
-        if name == "abs":
-            return abs(args[0])
-        if name == "min":
-            return min(args[0], args[1])
-        if name == "max":
-            return max(args[0], args[1])
-        if name == "rand":
-            self.seed = (self.seed * 1103515245 + 12345) & 0x7FFFFFFF
-            return self.seed
-        if name == "srand":
-            self.seed = args[0] & 0x7FFFFFFF
-            return None
-        if name == "clock":
-            self._clock += 1
-            return self._clock
-        if name == "print_int":
-            self.output.append(str(args[0]))
-            return None
-        if name == "print_double":
-            self.output.append(f"{args[0]:.6f}")
-            return None
-        raise InterpreterError(f"unknown intrinsic {name}")
+
+def _fault_site(code, error: BaseException) -> str:
+    """The opcode or intrinsic whose line in ``code`` raised ``error``."""
+    site = "block"
+    traceback = error.__traceback__
+    while traceback is not None:
+        if traceback.tb_frame.f_code is code.__code__:
+            site = code.sites[traceback.tb_lineno - 1]
+        traceback = traceback.tb_next
+    return site

@@ -50,23 +50,26 @@ class Pointer:
     def load(self):
         """Read the pointed-to element."""
         if not 0 <= self.offset < len(self.buffer.data):
-            raise MemoryError_(
-                f"load out of bounds: {self.buffer.name}[{self.offset}] "
-                f"(size {len(self.buffer.data)})"
-            )
+            raise out_of_bounds("load", self)
         return self.buffer.data[self.offset]
 
     def store(self, value) -> None:
         """Write the pointed-to element."""
         if not 0 <= self.offset < len(self.buffer.data):
-            raise MemoryError_(
-                f"store out of bounds: {self.buffer.name}[{self.offset}] "
-                f"(size {len(self.buffer.data)})"
-            )
+            raise out_of_bounds("store", self)
         self.buffer.data[self.offset] = value
 
     def __repr__(self) -> str:
         return f"<Pointer {self.buffer.name}+{self.offset}>"
+
+
+def out_of_bounds(kind: str, pointer: Pointer) -> MemoryError_:
+    """The error of a ``kind`` ("load" or "store") access through
+    ``pointer`` outside its buffer."""
+    return MemoryError_(
+        f"{kind} out of bounds: {pointer.buffer.name}[{pointer.offset}] "
+        f"(size {len(pointer.buffer.data)})"
+    )
 
 
 class Memory:

@@ -1,8 +1,11 @@
 """Tests for the IR interpreter."""
 
+import math
+
 import pytest
 
 from repro.frontend import compile_source
+from repro.ir.parser import parse_module
 from repro.runtime import Interpreter, InterpreterError, Memory
 
 
@@ -192,3 +195,59 @@ def test_instructions_in_blocks_helper():
     fn = module.get_function("f")
     total = interp.instructions_in_blocks(fn.blocks)
     assert total == sum(interp.block_counts.values())
+
+
+_BAD_EDGE_IR = """
+define i64 @f(i64 %a) {
+entry:
+  br label %join
+join:
+  %s = phi i64 [ 0, %other ]
+  ret i64 %s
+other:
+  br label %join
+}
+"""
+
+
+def _call_parsed(text, args):
+    module = parse_module(text)
+    return Interpreter(module).call(module.get_function("f"), list(args))
+
+
+@pytest.mark.parametrize(
+    "run, message, cause",
+    [
+        (lambda: _run("double f(double a) { return 1.0 / a; }",
+                      args=[0.0]),
+         "^fdiv in f: ", ZeroDivisionError),
+        (lambda: _run("int f(int a) { return 1 << a; }", args=[-1]),
+         "^shl in f: negative shift count", ValueError),
+        (lambda: _run("int f(double a) { return (int)a; }",
+                      args=[math.nan]),
+         "^fptosi in f: ", ValueError),
+        (lambda: _run("double f(double a) { return sqrt(a); }",
+                      args=[-1.0]),
+         "^sqrt in f: ", ValueError),
+        (lambda: _run("double f(double a) { return log(a); }",
+                      args=[0.0]),
+         "^log in f: ", ValueError),
+        (lambda: _run("double f(double a) { return exp(a); }",
+                      args=[1e6]),
+         "^exp in f: ", OverflowError),
+        (lambda: _call_parsed(_BAD_EDGE_IR, [1]),
+         "^block %join entered from %entry, which is not an incoming "
+         "block of its phis$", None),
+        (lambda: _run("int f(int a) { return a + 1; }", args=[]),
+         "^use of undefined value <Argument i64 a>$", None),
+    ],
+    ids=["fdiv", "shl", "fptosi", "sqrt", "log", "exp", "phi-edge",
+         "undefined"],
+)
+def test_runtime_faults_are_interpreter_errors(run, message, cause):
+    with pytest.raises(InterpreterError, match=message) as raised:
+        run()
+    if cause is None:
+        assert raised.value.__cause__ is None
+    else:
+        assert type(raised.value.__cause__) is cause

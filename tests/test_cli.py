@@ -177,6 +177,21 @@ def test_parallelize_reports_nothing_to_do(tmp_path, capsys):
     assert "nothing to parallelize" in capsys.readouterr().out
 
 
+def test_parallelize_reports_runtime_fault(tmp_path, capsys):
+    """An out-of-bounds run ends with one ``error:`` line, not a traceback."""
+    path = tmp_path / "oob.c"
+    path.write_text(
+        "double a[8]; int n;\n"
+        "double total(void) { double s = 0.0; "
+        "for (int i = 0; i < n; i++) s = s + a[i]; return s; }\n"
+        "int main(void) { n = 16; print_double(total()); return 0; }\n"
+    )
+    assert main(["parallelize", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "outlined:" in captured.out
+    assert captured.err == "error: load out of bounds: a[8] (size 8)\n"
+
+
 def test_detect_renders_spec_diagnostic(source_file, tmp_path, capsys):
     """The malformed-spec path shows the caret-rendered diagnostic."""
     bad = tmp_path / "bad.icsl"
