@@ -40,48 +40,54 @@ Quickstart::
     print(report.summary())
 """
 
-from .frontend import compile_source
-from .idioms import (
-    DetectionReport,
-    HistogramReduction,
-    ReductionOp,
-    ScalarReduction,
-    find_extended_reductions,
-    find_for_loops,
-    find_reductions,
-    find_reductions_in_function,
-)
-from .pipeline import detect_corpus
-from .runtime import Interpreter, MachineModel, Memory, ParallelExecutor
-from .transform import (
-    OutlinedTask,
-    ParallelPlan,
-    TransformFailure,
-    outline_loop,
-    plan_all,
-)
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "compile_source",
-    "find_reductions",
-    "find_reductions_in_function",
-    "find_extended_reductions",
-    "find_for_loops",
-    "detect_corpus",
-    "DetectionReport",
-    "ScalarReduction",
-    "HistogramReduction",
-    "ReductionOp",
-    "Interpreter",
-    "Memory",
-    "MachineModel",
-    "ParallelExecutor",
-    "ParallelPlan",
-    "TransformFailure",
-    "OutlinedTask",
-    "plan_all",
-    "outline_loop",
-    "__version__",
-]
+#: Public name → the subpackage that defines it.  ``import repro`` is
+#: lazy (PEP 562): a name's subpackage is imported on first access, so
+#: a caller — or a CLI verb — loads only the layers it uses.
+_EXPORTS = {
+    "compile_source": "frontend",
+    "find_reductions": "idioms",
+    "find_reductions_in_function": "idioms",
+    "find_extended_reductions": "idioms",
+    "find_for_loops": "idioms",
+    "DetectionReport": "idioms",
+    "ScalarReduction": "idioms",
+    "HistogramReduction": "idioms",
+    "ReductionOp": "idioms",
+    "detect_corpus": "pipeline",
+    "Interpreter": "runtime",
+    "Memory": "runtime",
+    "MachineModel": "runtime",
+    "ParallelExecutor": "runtime",
+    "ParallelPlan": "transform",
+    "TransformFailure": "transform",
+    "OutlinedTask": "transform",
+    "plan_all": "transform",
+    "outline_loop": "transform",
+}
+
+_SUBPACKAGES = frozenset({
+    "analysis", "baselines", "constraints", "evaluation", "frontend",
+    "idioms", "ir", "passes", "pipeline", "runtime", "transform",
+    "workloads",
+})
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _SUBPACKAGES:
+        return importlib.import_module(f"{__name__}.{name}")
+    owner = _EXPORTS.get(name)
+    if owner is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{owner}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBPACKAGES})

@@ -111,15 +111,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import compile_source, find_reductions, outline_loop, plan_all
-from .ir import print_module
-from .runtime import (
-    InterpreterError,
-    MachineModel,
-    MemoryError_,
-    ParallelExecutor,
-)
-from .runtime.parallel import run_sequential
+# Each verb imports the layers it runs inside its ``_cmd_*`` function,
+# so ``repro detect`` never loads the runtime, the transform or the
+# pipeline's process and socket machinery.
 
 
 def _read(path: str) -> str:
@@ -191,6 +185,8 @@ def _cmd_detect(args) -> int:
         SpecFileError,
         detect as solve,
     )
+    from .frontend import compile_source
+    from .idioms import find_reductions
 
     try:
         registry = _build_registry(args.spec, lint=args.lint)
@@ -309,12 +305,26 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_emit(args) -> int:
+    from .frontend import compile_source
+    from .ir import print_module
+
     module = compile_source(_read(args.file), args.file)
     print(print_module(module), end="")
     return 0
 
 
 def _cmd_parallelize(args) -> int:
+    from .frontend import compile_source
+    from .idioms import find_reductions
+    from .runtime import (
+        InterpreterError,
+        MachineModel,
+        MemoryError_,
+        ParallelExecutor,
+    )
+    from .runtime.parallel import run_sequential
+    from .transform import outline_loop, plan_all
+
     module = compile_source(_read(args.file), args.file)
     report = find_reductions(module)
     tasks = []

@@ -5,16 +5,14 @@ language for computational idioms (atomic constraints over SSA values,
 combined with ∧/∨ plus generalized graph domination) and a generic
 backtracking solver that finds all satisfying value tuples in a
 function.
+
+The static analyzer's names (``analyze_spec``, ``lint_spec_files``,
+...) resolve lazily from :mod:`.analysis`, so detection never loads
+the linter.
 """
 
-from .analysis import (
-    DIAGNOSTIC_CODES,
-    Diagnostic,
-    analyze_registry,
-    analyze_spec,
-    cross_spec_diagnostics,
-    lint_spec_files,
-)
+import importlib
+
 from .atomic import (
     Blocked,
     CFGEdge,
@@ -124,3 +122,16 @@ __all__ = [
     "cross_spec_diagnostics",
     "lint_spec_files",
 ]
+
+_ANALYSIS_NAMES = frozenset({
+    "Diagnostic", "DIAGNOSTIC_CODES", "analyze_spec", "analyze_registry",
+    "cross_spec_diagnostics", "lint_spec_files",
+})
+
+
+def __getattr__(name: str):
+    if name not in _ANALYSIS_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.analysis"), name)
+    globals()[name] = value
+    return value

@@ -15,42 +15,6 @@ from ..ir.values import Argument, Constant, GlobalVariable, Value
 from .core import PARTIAL_VACUOUS, Assignment, Constraint, SolverContext
 
 
-def _universe_opcode_codes(ctx, np):
-    """Per-context opcode code table over ``ctx.universe`` for numpy
-    batch filtering: an int32 array (one entry per universe value, -1
-    for non-instructions) plus the opcode → code index.  Built once per
-    context on first use and cached on it."""
-    cached = getattr(ctx, "_plan_opcode_codes", None)
-    if cached is None:
-        index: dict[str, int] = {}
-        rows = []
-        for value in ctx.universe:
-            if isinstance(value, Instruction):
-                code = index.setdefault(value.opcode, len(index))
-            else:
-                code = -1
-            rows.append(code)
-        cached = (np.asarray(rows, dtype=np.int32), index)
-        ctx._plan_opcode_codes = cached
-    return cached
-
-
-def _universe_constlike_mask(ctx, np):
-    """Per-context boolean mask of constant-like universe values."""
-    cached = getattr(ctx, "_plan_constlike_mask", None)
-    if cached is None:
-        cached = np.fromiter(
-            (
-                isinstance(v, (Constant, Argument, GlobalVariable))
-                for v in ctx.universe
-            ),
-            dtype=bool,
-            count=len(ctx.universe),
-        )
-        ctx._plan_constlike_mask = cached
-    return cached
-
-
 class CFGEdge(Constraint):
     """Control can flow directly from block ``a`` to block ``b``."""
 
@@ -546,27 +510,6 @@ class Opcode(Constraint):
             self.commutative,
         )
 
-    def compile_batch_filter(self, new_label):
-        """A universe-wide opcode-membership mask when ``new_label`` is
-        the instruction label: a candidate outside the mask is certain
-        to fail this atom's check, so the plan engine may reject it in
-        bulk.  Conservative — survivors still run the full check."""
-        if new_label != self.x_label:
-            return None
-        opcodes = self.opcodes
-
-        def mask(ctx, np):
-            codes, index = _universe_opcode_codes(ctx, np)
-            wanted = [index[o] for o in opcodes if o in index]
-            if not wanted:
-                return np.zeros(len(codes), dtype=bool)
-            m = codes == wanted[0]
-            for code in wanted[1:]:
-                m |= codes == code
-            return m
-
-        return mask
-
     def propose(self, ctx, assignment, label):
         if label == self.x_label:
             candidates: list[Value] = []
@@ -920,15 +863,6 @@ class IsConstantLike(Constraint):
 
     def structural_key(self):
         return ("constlike", self.labels)
-
-    def compile_batch_filter(self, new_label):
-        if new_label != self.labels[0]:
-            return None
-
-        def mask(ctx, np):
-            return _universe_constlike_mask(ctx, np)
-
-        return mask
 
     def propose(self, ctx, assignment, label):
         if label == self.labels[0]:

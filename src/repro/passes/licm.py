@@ -32,7 +32,10 @@ def hoist_invariant_loads(function: Function) -> int:
             stored_globals, has_impure_call = _loop_memory_summary(loop)
             if has_impure_call:
                 continue
-            for block in list(loop.blocks):
+            # Function order, not set order: blocks hash by identity,
+            # so walking ``loop.blocks`` would land the hoisted loads
+            # in the preheader in a different order from run to run.
+            for block in [b for b in function.blocks if b in loop.blocks]:
                 for instruction in list(block.instructions):
                     if not isinstance(instruction, LoadInst):
                         continue

@@ -45,125 +45,81 @@ Quickstart::
             print(digest.name, digest.counts())
 """
 
-from .digest import (
-    CorpusReport,
-    ExtensionDigest,
-    FunctionDigest,
-    HistogramDigest,
-    ProgramDigest,
-    ScalarDigest,
-    UnitDigest,
-    UnitFailure,
-    assemble_program,
-    digest_extensions,
-    digest_function,
-    digest_report,
-    load_report,
-    program_from_json,
-    program_to_json,
-    report_from_json,
-    report_to_json,
-    save_report,
-)
-from .engine import (
-    DetectionPipeline,
-    detect_corpus,
-    merge_digests,
-    merge_unit_digests,
-    resolve_feedback_options,
-)
-from .feedback import (
-    ExplorationPolicy,
-    FeedbackStore,
-    OrderObs,
-    canonical_orders,
-    feedback_from_detection,
-    feedback_from_report,
-    load_feedback,
-    save_feedback,
-    shape_bucket,
-)
-from .gateway import (
-    GatewayClient,
-    GatewayError,
-    GatewayRejected,
-    GatewayRequest,
-    GatewayRequestFailed,
-    GatewayServer,
-)
-from .options import PipelineOptions
-from .serving import (
-    JobCancelled,
-    JobClass,
-    PriorityScheduler,
-    ServingEngine,
-    ServingJob,
-    serve_worker,
-)
-from .shard import (
-    WorkUnit,
-    lpt_order,
-    make_shards,
-    measured_weights,
-    plan_units,
-    unit_weight,
-)
-from .worker import detect_program, detect_unit, run_shard, run_unit_shard
+import importlib
 
-__all__ = [
-    "PipelineOptions",
-    "DetectionPipeline",
-    "ServingEngine",
-    "ServingJob",
-    "JobClass",
-    "JobCancelled",
-    "PriorityScheduler",
-    "serve_worker",
-    "GatewayServer",
-    "GatewayClient",
-    "GatewayRequest",
-    "GatewayError",
-    "GatewayRejected",
-    "GatewayRequestFailed",
-    "detect_corpus",
-    "merge_digests",
-    "merge_unit_digests",
-    "lpt_order",
-    "make_shards",
-    "plan_units",
-    "measured_weights",
-    "unit_weight",
-    "WorkUnit",
-    "run_shard",
-    "run_unit_shard",
-    "detect_program",
-    "detect_unit",
-    "CorpusReport",
-    "ProgramDigest",
-    "UnitDigest",
-    "UnitFailure",
-    "FunctionDigest",
-    "ScalarDigest",
-    "HistogramDigest",
-    "ExtensionDigest",
-    "assemble_program",
-    "digest_report",
-    "digest_function",
-    "digest_extensions",
-    "report_to_json",
-    "report_from_json",
-    "program_to_json",
-    "program_from_json",
-    "load_report",
-    "save_report",
-    "ExplorationPolicy",
-    "FeedbackStore",
-    "OrderObs",
-    "shape_bucket",
-    "canonical_orders",
-    "feedback_from_detection",
-    "feedback_from_report",
-    "load_feedback",
-    "save_feedback",
-    "resolve_feedback_options",
-]
+#: Public name → the submodule that defines it.  The package is lazy
+#: (PEP 562): importing ``repro.pipeline`` loads no submodule, and a
+#: name's submodule loads on first access — ``detect_corpus`` does not
+#: pull in the gateway's asyncio/socket stack.
+_EXPORTS = {
+    "PipelineOptions": "options",
+    "DetectionPipeline": "engine",
+    "ServingEngine": "serving",
+    "ServingJob": "serving",
+    "JobClass": "serving",
+    "JobCancelled": "serving",
+    "PriorityScheduler": "serving",
+    "serve_worker": "serving",
+    "GatewayServer": "gateway",
+    "GatewayClient": "gateway",
+    "GatewayRequest": "gateway",
+    "GatewayError": "gateway",
+    "GatewayRejected": "gateway",
+    "GatewayRequestFailed": "gateway",
+    "detect_corpus": "engine",
+    "merge_digests": "engine",
+    "merge_unit_digests": "engine",
+    "lpt_order": "shard",
+    "make_shards": "shard",
+    "plan_units": "shard",
+    "measured_weights": "shard",
+    "unit_weight": "shard",
+    "WorkUnit": "shard",
+    "run_shard": "worker",
+    "run_unit_shard": "worker",
+    "detect_program": "worker",
+    "detect_unit": "worker",
+    "CorpusReport": "digest",
+    "ProgramDigest": "digest",
+    "UnitDigest": "digest",
+    "UnitFailure": "digest",
+    "FunctionDigest": "digest",
+    "ScalarDigest": "digest",
+    "HistogramDigest": "digest",
+    "ExtensionDigest": "digest",
+    "assemble_program": "digest",
+    "digest_report": "digest",
+    "digest_function": "digest",
+    "digest_extensions": "digest",
+    "report_to_json": "digest",
+    "report_from_json": "digest",
+    "program_to_json": "digest",
+    "program_from_json": "digest",
+    "load_report": "digest",
+    "save_report": "digest",
+    "ExplorationPolicy": "feedback",
+    "FeedbackStore": "feedback",
+    "OrderObs": "feedback",
+    "shape_bucket": "feedback",
+    "canonical_orders": "feedback",
+    "feedback_from_detection": "feedback",
+    "feedback_from_report": "feedback",
+    "load_feedback": "feedback",
+    "save_feedback": "feedback",
+    "resolve_feedback_options": "engine",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    owner = _EXPORTS.get(name)
+    if owner is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{owner}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -32,7 +32,7 @@ from .digest import (
 )
 from .options import PipelineOptions
 from .shard import make_shards, measured_weights, plan_units
-from .worker import run_unit_shard
+from .worker import preload_worker_stack, run_unit_shard
 
 Key = tuple[str, str]
 
@@ -223,6 +223,7 @@ class DetectionPipeline:
                 else "spawn"
             )
         mp = multiprocessing.get_context(method)
+        preload_worker_stack()
         with mp.Pool(processes=len(shards)) as pool:
             return pool.starmap(
                 run_unit_shard, [(shard, options) for shard in shards]

@@ -93,6 +93,7 @@ from .worker import (
     ModuleCache,
     _build_registry,
     detect_unit,
+    preload_worker_stack,
 )
 
 Key = tuple[str, str]
@@ -213,9 +214,11 @@ def serve_worker(worker_id: int, task_queue, result_conn,
     """One persistent worker process.
 
     Pulls ``(job_id, unit, spec_orders)`` tasks from its **own** queue
-    until the ``None`` sentinel (or the ``stop`` event is set —
+    until the ``None`` sentinel (or the shared ``stop`` byte is set —
     draining a queue from the parent races the queue's feeder thread,
-    so shutdown needs a signal workers check themselves), keeping the
+    so shutdown needs a signal workers check themselves; the byte is a
+    lock-free ``RawValue`` because a worker killed inside a locked
+    check would block every survivor on its next one), keeping the
     idiom registry and compiled modules warm across tasks — and across
     jobs.  ``spec_orders`` is the job's feedback-derived label-order
     mapping (None = the options-level orders the worker booted with):
@@ -251,7 +254,7 @@ def serve_worker(worker_id: int, task_queue, result_conn,
                 0.0 if last_done is None
                 else time.monotonic() - last_done
             )
-            if task is None or (stop is not None and stop.is_set()):
+            if task is None or (stop is not None and stop.value):
                 break
             job_id, unit, orders = task
             registry = registries.get(orders)
@@ -600,9 +603,10 @@ class ServingEngine:
                 else "spawn"
             )
         self._context = multiprocessing.get_context(method)
-        self._stop = self._context.Event()
+        self._stop = self._context.RawValue("b", 0)
         self._scheduler = PriorityScheduler()
         self.resolve_feedback()
+        preload_worker_stack()
         for _ in range(self.workers):
             self._spawn_worker()
         return self
@@ -665,7 +669,7 @@ class ServingEngine:
     def shutdown(self) -> None:
         """Stop the workers (idempotent).
 
-        In-flight jobs are abandoned: the stop event makes each worker
+        In-flight jobs are abandoned: the stop flag makes each worker
         exit at its next task (draining a queue from the parent would
         race the feeder thread, so workers check the event themselves),
         and any job still pending is marked failed — a later
@@ -682,7 +686,7 @@ class ServingEngine:
         if not self.running:
             return
         self._draining = True
-        self._stop.set()
+        self._stop.value = 1
         for job in list(self._jobs.values()):
             if not job.done and not job.cancelled:
                 job._errors.append("engine shut down with the job pending")

@@ -47,6 +47,18 @@ from .options import PipelineOptions
 from .shard import WorkUnit
 
 
+def preload_worker_stack() -> None:
+    """Import the layers a worker runs, in the parent, before it forks.
+
+    ``import repro`` is lazy, so a parent that only plans and merges
+    (the CLI, the gateway) has not loaded the frontend, the idioms or
+    the corpus.  Forked workers inherit the parent's modules: importing
+    them here once spares every worker recompiling those sources on
+    its first unit, inside that unit's latency.
+    """
+    from .. import frontend, idioms, workloads  # noqa: F401
+
+
 def _build_registry(options: PipelineOptions, orders=None):
     """One worker's idiom registry, feedback orders applied.
 

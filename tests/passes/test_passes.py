@@ -7,6 +7,7 @@ from repro.ir import (
     LoadInst,
     Module,
     PhiInst,
+    print_module,
     verify_module,
 )
 from repro.passes import promote_allocas, promotable_allocas
@@ -19,6 +20,7 @@ from repro.passes.simplify import (
     remove_unreachable_blocks,
 )
 from repro.runtime import Interpreter, Memory
+from repro.workloads import all_programs
 
 
 SOURCE = """
@@ -181,6 +183,20 @@ def test_licm_does_not_hoist_stored_global():
         if isinstance(i, LoadInst)
     ]
     assert loads_in_loop  # still re-loaded every iteration
+
+
+def test_compile_source_is_deterministic_on_the_corpus():
+    """Blocks hash by identity, so any pass that walks a set of blocks
+    can emit a different IR from one compile to the next; LICM once
+    did (hoisted loads landed in the preheader in set order).  Every
+    corpus program must print identically across repeated compiles in
+    one process."""
+    for program in all_programs():
+        first = print_module(compile_source(program.source, program.name))
+        for _ in range(9):
+            again = compile_source(program.source, program.name)
+            assert print_module(again) == first, (program.suite,
+                                                  program.name)
 
 
 def test_unreachable_block_removal():

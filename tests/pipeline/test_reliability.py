@@ -10,12 +10,17 @@ abandoned after bounded retries must surface as a structured
 """
 
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.pipeline import (
     JobCancelled,
     JobClass,
@@ -280,6 +285,60 @@ def test_chaos_property_any_subset_and_kill_point(data):
         report = job.result()
     assert report.failures == ()
     assert report.fingerprint() == serial(keys).fingerprint()
+
+
+_DEAD_LOCK_HOLDER = """
+import os, signal
+
+from repro.pipeline import PipelineOptions, ServingEngine
+from repro.workloads import corpus_keys
+
+
+def hold_and_die(stop):
+    # A worker killed inside its stop check: it dies holding every
+    # lock the shared stop signal has.
+    for name in ("_cond", "_lock"):
+        lock = getattr(stop, name, None)
+        if lock is not None:
+            lock.acquire()
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+if __name__ == "__main__":
+    options = PipelineOptions(jobs=2, granularity="function")
+    with ServingEngine(options) as engine:
+        helper = engine._context.Process(target=hold_and_die,
+                                         args=(engine._stop,))
+        helper.start()
+        helper.join()
+        report = engine.submit(corpus_keys()[:3]).result()
+    print(len(report.programs), len(report.failures))
+"""
+
+
+def test_process_killed_inside_the_stop_check_cannot_wedge_the_pool():
+    """Every worker checks the engine's shared stop signal after each
+    dequeue.  A lock-based signal (``multiprocessing.Event``) let a
+    worker killed inside that check take the lock with it: the
+    survivors blocked on their next check while their heartbeat
+    threads kept them looking alive, so the job hung forever.  Run in
+    a subprocess (its own session, so a wedged pool is killed whole)
+    so a regression fails by timeout instead of hanging the suite."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    with subprocess.Popen(
+        [sys.executable, "-c", _DEAD_LOCK_HOLDER], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, env=env, start_new_session=True,
+    ) as child:
+        try:
+            out, err = child.communicate(timeout=90)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            pytest.fail("the pool wedged: the job never finished")
+    assert child.returncode == 0, err[-2000:]
+    assert out.split() == ["3", "0"]
 
 
 def test_retry_exhaustion_records_a_structured_unit_failure():

@@ -7,6 +7,8 @@ fingerprint-identical to the serial batch run with the same options.
 """
 
 import multiprocessing
+import os
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -303,22 +305,15 @@ def test_killed_worker_loses_its_whole_window_and_recovers():
     options = PipelineOptions(jobs=2, granularity="function",
                               prefetch_units=3)
     with ServingEngine(options) as engine:
+        # Freeze the victim before submitting: the window the
+        # dispatcher fills for it is then provably unfinished when it
+        # dies.  A running victim may already have sent its results,
+        # which the engine rightly credits instead of counting a death.
+        victim = next(iter(engine._workers.values()))
+        os.kill(victim.process.pid, signal.SIGSTOP)
         job = engine.submit(KEYS[:5])
-        stream = job.stream()
-        # Kill a worker observed holding queued work beyond its
-        # in-flight unit — choosing a fixed worker races the
-        # dispatcher, which may have just drained that window.
-        victim = None
-        for _ in stream:
-            candidate = max(engine._workers.values(),
-                            key=lambda handle: len(handle.assignments))
-            if len(candidate.assignments) >= 2:
-                victim = candidate
-                break
-        assert victim is not None, "no worker window ever held >1 unit"
         lost = len(victim.assignments)
         victim.process.kill()
-        list(stream)
         report = job.result()
         assert engine.worker_deaths >= 1
         assert lost >= 2  # in-flight plus queued work when it died
