@@ -4,10 +4,11 @@
 enumeration does not affect the functionality but will be very
 important for the runtime behavior of this method."
 
-Three experiments — the third compares the incremental solver (check
-only conjuncts affected by the newest binding) against the naive
-full-tree walk, plus the automatic ``suggest_order`` heuristic against
-the curated order.  The original two:
+Three experiments — the third compares the solver (check only
+conjuncts affected by the newest binding) against the naive full-tree
+walk kept in ``tests/constraints/oracle.py``, plus the automatic
+``suggest_order`` heuristic against the curated order.  The original
+two:
 
 * on EP's kernel, the curated order versus a *structure-scrambled*
   order (blocks bound before the branch structure that would propose
@@ -23,6 +24,12 @@ the curated order.  The original two:
 import time
 
 from conftest import write_artifact
+from oracle import (
+    SCALAR_REDUCTION_LABEL_ORDER,
+    detect_interpreted,
+    for_loop_spec,
+    scalar_reduction_spec,
+)
 from repro.constraints import (
     SolverContext,
     SolverStats,
@@ -30,11 +37,6 @@ from repro.constraints import (
     suggest_order,
 )
 from repro.evaluation.render import table
-from repro.idioms.forloop import for_loop_spec
-from repro.idioms.scalar_reduction import (
-    SCALAR_REDUCTION_LABEL_ORDER,
-    scalar_reduction_spec,
-)
 from repro.workloads import program
 
 #: Blocks and values bound before the branch structure.
@@ -128,6 +130,10 @@ def test_enumeration_order_ablation(benchmark):
     assert rows[3][2] > rows[2][2]  # reversed works harder on mri-q
 
 
+def _naive_walk(ctx, spec, stats):
+    return detect_interpreted(ctx, spec, stats=stats, incremental=False)
+
+
 def test_incremental_solver_ablation():
     """Incremental conjunct indexing vs the naive full-tree walk.
 
@@ -143,11 +149,11 @@ def test_incremental_solver_ablation():
         module = program(workload).fresh_module()
         ctx = SolverContext(module.get_function(function), module)
         runs = {}
-        for mode, incremental in (("incremental", True), ("naive", False)):
+        for mode, search in (("incremental", detect),
+                             ("naive", _naive_walk)):
             stats = SolverStats()
             started = time.perf_counter()
-            solutions = detect(ctx, spec, stats=stats,
-                               incremental=incremental)
+            solutions = search(ctx, spec, stats=stats)
             elapsed = time.perf_counter() - started
             runs[mode] = (solutions, stats)
             per_solution = stats.constraint_evals / max(1, stats.solutions)

@@ -3,9 +3,10 @@
 The paper's key architectural claim (§3, §8) is that the constraint
 formulation *decouples specification from detection*: new idioms are
 new constraint programs, not new detection algorithms.  This example
-defines a *dot-product* idiom from the existing atoms — a for loop
-whose accumulator update is ``acc + a[i] * b[i]`` over two distinct
-arrays — and runs the unmodified generic solver on it.
+defines a *dot-product* idiom from the existing atoms on top of the
+shipped for-loop specification — a for loop whose accumulator update is
+``acc + a[i] * b[i]`` over two distinct arrays — and runs the
+unmodified generic solver on it.
 
 Run with::
 
@@ -16,21 +17,20 @@ from repro import compile_source
 from repro.constraints import (
     ComputedOnlyFrom,
     ConstraintAnd,
+    ConstraintOr,
+    DefDominatesBlock,
     Distinct,
     FlowPolicy,
     IdiomSpec,
     InBlock,
+    IsConstantLike,
     Opcode,
     PhiIncomingFromBlock,
     PhiOfTwo,
     SolverContext,
     detect,
 )
-from repro.idioms.forloop import (
-    FOR_LOOP_LABEL_ORDER,
-    for_loop_constraint,
-    loop_invariant_in,
-)
+from repro.idioms import IdiomRegistry
 
 
 def _policies(ctx, assignment):
@@ -46,17 +46,22 @@ def _policies(ctx, assignment):
 
 def dot_product_spec() -> IdiomSpec:
     """acc' = acc + load(gep(base_a, i)) * load(gep(base_b, i))."""
-    labels = FOR_LOOP_LABEL_ORDER + (
+    # The for loop of Fig. 5, as shipped in specs/forloop.icsl.
+    for_loop = IdiomRegistry().spec("for-loop")
+    labels = for_loop.label_order + (
         "acc", "update", "acc_init", "product", "load_a", "load_b",
         "gep_a", "gep_b", "base_a", "base_b",
     )
     constraint = ConstraintAnd(
-        for_loop_constraint(),
+        for_loop.constraint,
         PhiOfTwo("acc", "update", "acc_init"),
         InBlock("acc", "header"),
         PhiIncomingFromBlock("acc", "update", "latch"),
         PhiIncomingFromBlock("acc", "acc_init", "entry"),
-        loop_invariant_in("acc_init", "entry"),
+        # The initial value is loop invariant: a constant, or defined
+        # before the loop is entered.
+        ConstraintOr(IsConstantLike("acc_init"),
+                     DefDominatesBlock("acc_init", "entry")),
         # The update is acc + (a[i] * b[i]).
         Opcode("update", "fadd", ("acc", "product"), commutative=True),
         Opcode("product", "fmul", ("load_a", "load_b"), commutative=True),

@@ -51,7 +51,6 @@ from .solver import (
     SolverStats,
     compile_spec,
     detect,
-    detect_brute_force,
     suggest_order,
 )
 from .specfile import (
@@ -97,7 +96,6 @@ __all__ = [
     "root_base",
     "stored_bases",
     "detect",
-    "detect_brute_force",
     "SolverStats",
     "SharedSolverCache",
     "CompiledSpec",

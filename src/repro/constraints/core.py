@@ -450,8 +450,8 @@ class IdiomSpec:
 
 def top_level_conjuncts(constraint: Constraint) -> list[Constraint]:
     """The spec's top-level conjunct list — its root And's children, or
-    the root itself.  One definition shared by the interpreted engine,
-    the plan compiler, the ICSL ``extends`` loader and the lint pass, so
+    the root itself.  One definition shared by the per-depth index, the
+    plan compiler, the ICSL ``extends`` loader and the lint pass, so
     "conjunct index i" means the same thing everywhere."""
     from .logical import ConstraintAnd
 

@@ -1,12 +1,12 @@
-"""Flat evaluation plans — the compiled constraint engine.
+"""Flat evaluation plans — the constraint engine behind ``detect``.
 
-The incremental solver (:mod:`.solver`) still *interprets* a tree of
-Python constraint objects per candidate: every search node walks the
-depth's conjunct slice, dispatches ``partial_check`` through a method
-lookup, and rebuilds memo keys with per-lookup sorting.  At corpus
-scale that interpreter overhead dominates the search itself.  This
-module lowers each :class:`~repro.constraints.solver.CompiledSpec`
-depth-slice once, per spec, into a :class:`FlatPlan`:
+Interpreting a tree of Python constraint objects per candidate means
+that every search node walks the depth's conjunct slice, dispatches
+``partial_check`` through a method lookup, and rebuilds memo keys with
+per-lookup sorting; at corpus scale that overhead dominates the search
+itself.  This module lowers each
+:class:`~repro.constraints.solver.CompiledSpec` depth-slice once, per
+spec, into a :class:`FlatPlan`:
 
 * **slot-indexed bindings** — the partial assignment is a flat list
   indexed by label-order position (slot ``k`` is the label bound at
@@ -21,12 +21,11 @@ depth-slice once, per spec, into a :class:`FlatPlan`:
   the ``c_k`` construction generates), structural duplicates, and
   conjuncts implied by an earlier conjunct in the chosen order (strict
   dominance ⇒ dominance, ``sese`` ⇒ both dominance legs) are dropped
-  from the slice at compile time.  Every skipped evaluation the
-  interpreted engine *would* have counted is recorded in
+  from the slice at compile time.  Every skipped evaluation an
+  unpruned search *would* have counted is recorded in
   :attr:`SolverStats.evals_pruned`, position-exactly, so
-  ``interpreted.constraint_evals == plan.constraint_evals +
-  plan.evals_pruned`` holds per search — fingerprint accounting stays
-  honest;
+  ``constraint_evals + evals_pruned`` is the unpruned count per
+  search — fingerprint accounting stays honest;
 * **partial-prefix replay tries** — full-prefix replay
   (``base_solutions``) requires the extension's label order to start
   with the base's *entire* order.  The plan engine extends
@@ -41,10 +40,11 @@ depth-slice once, per spec, into a :class:`FlatPlan`:
   replayed frontier, re-validated against the extension's own
   conjuncts, reaches exactly the solutions the native search reaches.
 
-The interpreted engine is unchanged and remains the differential
-oracle; :func:`detect_plan` is bit-identical to it in solutions,
-assignments tried, rejections, universe fallbacks, proposal cache hits
-and candidate statistics, and eval-exact modulo the recorded pruning.
+The constraint-object interpreter this engine was derived from is
+kept as the differential oracle in ``tests/constraints/oracle.py``;
+:func:`detect_plan` is bit-identical to it in solutions, assignments
+tried, rejections, universe fallbacks, proposal cache hits and
+candidate statistics, and eval-exact modulo the recorded pruning.
 """
 
 from __future__ import annotations
@@ -123,11 +123,11 @@ class CheckChain:
 
     Built from ``(closure, pruned_before)`` pairs in schedule order:
     ``pruned_before`` is how many vacuous/redundant conjuncts the
-    interpreted engine would have evaluated immediately before this
+    unpruned search would have evaluated immediately before this
     closure.  Rather than charging counters check by check, the chain
     precomputes what each outcome costs: a failure at closure index
     ``i`` charges ``i + 1`` evaluations and ``fail_pruned[i]`` skipped
-    ones (the pruned entries the interpreter would have reached before
+    ones (the pruned entries an unpruned search would have reached before
     short-circuiting); a full pass charges ``pass_evals`` and
     ``pass_pruned`` (which folds in ``tail_pruned``, the pruned entries
     after the last kept check).
@@ -164,9 +164,9 @@ class PlanStep:
         #: ``key_pairs`` are
         #: the pre-sorted ``(label, slot)`` pairs of the conjunct's
         #: labels bound at this depth — the memo key builds from them
-        #: without per-lookup sorting, and matches the interpreted
-        #: engine's key byte for byte (the caches are
-        #: engine-interoperable).  When no labels are bound the key is
+        #: without per-lookup sorting, and matches the key
+        #: ``conjunct, label, sorted bound (label, value id) pairs``
+        #: byte for byte.  When no labels are bound the key is
         #: a compile-time constant (``const_key``); the common one- and
         #: two-bound-label cases skip tuple iteration (``single`` /
         #: ``double``).
@@ -367,7 +367,7 @@ class FlatPlan:
         #: statistics into ``SolverStats`` after a search.
         self.step_label = [s.label for s in self.steps]
 
-        # -- full-prefix replay (mirrors the interpreted engine) ----------
+        # -- full-prefix replay -------------------------------------------
         self.prefix_len = compiled.prefix_len
         self.replay_chain: CheckChain | None = None
         if self.prefix_len:
@@ -758,14 +758,8 @@ def detect_plan(
     cache=None,
     _frontier_depth: int | None = None,
 ):
-    """All assignments satisfying ``spec`` — the compiled engine.
-
-    Drop-in equivalent of :func:`~repro.constraints.solver.detect`:
-    identical solutions in identical order, identical search counters
-    (``assignments_tried``, ``partial_rejections``, ``solutions``,
-    ``fallbacks_to_universe``, candidate statistics, proposal cache
-    hits, prefix reuses), and ``constraint_evals + evals_pruned`` equal
-    to the interpreted engine's ``constraint_evals``.
+    """All assignments satisfying ``spec`` — the engine behind
+    :func:`~repro.constraints.solver.detect`.
 
     ``_frontier_depth`` is internal: enumerate the depth-``d`` search
     frontier (partial assignments of the first ``d`` labels) instead of
@@ -821,10 +815,16 @@ def detect_plan(
 
 
 def _base_solutions(ctx, spec, stats, cache, limit):
-    """Solved base-prefix tuples, or None — the plan-engine twin of
-    :func:`~repro.constraints.solver._base_prefix_solutions` (same
-    cache slot, same charge-the-first-caller accounting, same
-    ``limit`` gate)."""
+    """Solved base-prefix tuples for an extending spec, or None.
+
+    The base's solution list is computed at most once per cache (the
+    first extending spec pays, and the base search's effort — but not
+    its solution count — is charged to its ``stats``; later specs
+    replay for free).  A ``limit``-bounded search never *computes* the
+    base (full base enumeration could dwarf the bounded search it
+    serves); it only replays a list some unbounded search already paid
+    for.
+    """
     from .solver import SolverStats
 
     base = spec.base

@@ -1,28 +1,21 @@
-"""The backtracking detection algorithm (Fig. 6 of the paper).
+"""Solver state, statistics and label ordering around the plan engine.
 
 Given an :class:`~repro.constraints.core.IdiomSpec` — a label order
 ``i1..in`` and a root constraint ``c`` — :func:`detect` enumerates all
-assignments ``x ∈ values(F)^I`` with ``c(x) = true`` by depth-first
-search: bind the next label to each candidate, prune with the partial
-predicate ``c_k`` (every atom with unbound labels replaced by true),
-recurse.
+assignments ``x ∈ values(F)^I`` with ``c(x) = true`` by the
+depth-first search of Fig. 6: bind the next label to each candidate,
+prune with the partial predicate ``c_k`` (every atom with unbound
+labels replaced by true), recurse.  Candidates for the next label come
+from constraint *proposals* (successors of a bound block, operands of a
+bound instruction, ...); only when nothing proposes does the search
+fall back to the whole value universe, which is what makes a
+well-chosen label order crucial (§3.3).  The search itself is the
+compiled flat plan of :mod:`~repro.constraints.plan`.
 
-Candidates for the next label come from constraint *proposals*
-(successors of a bound block, operands of a bound instruction, ...);
-only when nothing proposes does the solver fall back to the whole value
-universe, which is what makes a well-chosen label order crucial (§3.3).
-
-The solver hot path is **incremental**: each spec is pre-compiled
-(:class:`CompiledSpec`) into a per-depth index of top-level conjuncts
-that mention the label bound at that depth.  Binding label ``k`` then
-re-checks only the newly-decidable/affected conjuncts instead of
-re-walking the whole constraint tree — sound because a conjunct's
-partial verdict only depends on the bindings of its own labels, so
-unaffected conjuncts keep the verdict they produced at an earlier
-depth.  The naive full-tree walk is kept behind ``incremental=False``
-for differential testing, and both paths count conjunct evaluations in
-:attr:`SolverStats.constraint_evals` (the CoreDiag-flavored metric: how
-much redundant constraint evaluation was eliminated).
+:class:`CompiledSpec` indexes a spec's top-level conjuncts per depth:
+binding label ``k`` re-checks only the conjuncts that mention it,
+which is sound because a conjunct's partial verdict depends only on
+the bindings of its own labels.  The plan compiler lowers that index.
 
 Search state is shared **across** ``detect`` calls on one
 :class:`~repro.constraints.core.SolverContext` through
@@ -33,12 +26,8 @@ and a spec with a :attr:`~repro.constraints.core.IdiomSpec.base` replays
 the base's solved prefix tuples instead of re-enumerating the shared
 for-loop search space — the Bailleux & Boufkhad view of the extension
 idioms as *constraint reductions* of one for-loop formulation.  Passing
-``cache=SharedSolverCache()`` restores fully per-call state (the PR-1
-engine), which the differential tests and the pipeline benchmark use as
-the comparison baseline.
+``cache=SharedSolverCache()`` gives one call fully private state.
 
-:func:`detect_brute_force` is the exponential §3.2 strawman, kept for
-differential testing and for the ablation benchmark.
 :func:`suggest_order` is an automatic label-order heuristic scored by
 proposability, for specs whose author did not curate an order; given a
 :class:`SolverStats` from previous runs it instead follows the
@@ -48,7 +37,6 @@ bound label set (cost-aware ordering).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from ..ir.values import Value
@@ -59,7 +47,7 @@ from .core import (
     constraint_labels,
     top_level_conjuncts,
 )
-from .logical import intersect_proposals
+from .plan import detect_plan
 
 
 @dataclass
@@ -81,8 +69,7 @@ class SolverStats:
     candidates_per_prefix: dict[tuple[str, frozenset[str]], tuple[int, int]] = (
         field(default_factory=dict)
     )
-    #: Top-level conjunct ``partial_check`` evaluations — the redundant
-    #: work the incremental index eliminates.
+    #: Top-level conjunct ``partial_check`` evaluations performed.
     constraint_evals: int = 0
     #: Proposal lookups answered from the (shared) memo table.
     proposal_cache_hits: int = 0
@@ -93,10 +80,10 @@ class SolverStats:
     #: (vacuous, duplicate or implied conjunct checks), counted once
     #: per search that ran under the pruned plan.
     conjuncts_pruned: int = 0
-    #: Constraint evaluations the interpreted engine would have
+    #: Constraint evaluations the per-depth conjunct index would have
     #: performed that the compiled plan skipped — position-exact, so
-    #: ``interpreted.constraint_evals == plan.constraint_evals +
-    #: plan.evals_pruned`` for the same search.
+    #: ``constraint_evals + evals_pruned`` is the unpruned search's
+    #: count.
     evals_pruned: int = 0
     #: Searches that replayed a partial (mid-order) base frontier from
     #: the shared prefix trie instead of re-enumerating it.
@@ -291,28 +278,27 @@ class SharedSolverCache:
       share entries across detects;
     * ``base_solutions`` — complete solution lists of base specs, keyed
       by spec identity.  An extending spec replays these as its solved
-      prefix (see :meth:`CompiledSpec.prefix_plan`); the scalar and
+      prefix (see :class:`CompiledSpec`); the scalar and
       histogram idioms both extend ``for-loop``, so its search runs
       once per context instead of once per spec;
-    * ``prefix_trie`` — *partial* search states for the plan engine:
+    * ``prefix_trie`` — *partial* search states:
       the depth-``d`` frontier of a base spec's search, keyed
       ``(base spec, d)``.  An ``extends`` spec whose enumeration order
       diverges from the base mid-way (so full-prefix replay is
       unavailable) replays the shared frontier at the divergence depth
       (see :mod:`~repro.constraints.plan`);
-    * ``intersection_memo`` — plan-engine memo of
+    * ``intersection_memo`` — memo of
       :func:`~repro.constraints.logical.intersect_proposals` results,
       keyed by the identities of the memoized proposal lists being
       intersected (pure function of lists that live in
       ``proposal_memo``, so entries stay valid for the cache's
       lifetime);
-    * ``depth_memo`` — plan-engine memo of a whole depth's final
-      candidate list, keyed ``(plan step, bound-dependency value ids)``.
-      A hit replaces the per-row proposal lookups and the intersection
-      with one dict probe; since every row's memo entry necessarily
-      exists by then, the interpreted engine would score one
-      ``proposal_cache_hits`` per row, which the plan engine mirrors
-      in bulk.
+    * ``depth_memo`` — memo of a whole depth's final candidate list,
+      keyed ``(plan step, bound-dependency value ids)``.  A hit
+      replaces the per-row proposal lookups and the intersection with
+      one dict probe; since every row's memo entry necessarily exists
+      by then, it scores one ``proposal_cache_hits`` per row, as the
+      per-row lookups would have.
     """
 
     def __init__(self) -> None:
@@ -346,7 +332,7 @@ class SharedSolverCache:
 
 
 class CompiledSpec:
-    """A spec pre-compiled for the incremental solver.
+    """A spec's per-depth conjunct index (lowered by the plan compiler).
 
     * ``conjuncts`` — the root constraint flattened into top-level
       conjuncts (the root itself when it is not a conjunction);
@@ -417,52 +403,6 @@ class CompiledSpec:
             if id(c) not in base_ids and (self.labelsets[i] & prefix_set)
         )
 
-    def propose(
-        self,
-        ctx: SolverContext,
-        assignment: dict[str, Value],
-        label: str,
-        memo: dict,
-        stats: SolverStats,
-    ) -> list[Value] | None:
-        """Candidates for ``label``; mirrors ``ConstraintAnd.propose``
-        (intersection, ordered by the smallest proposal) with proposal
-        lookups memoized in the shared cache.
-
-        A conjunct's proposal only depends on the bindings of its own
-        labels, so the memo key is the conjunct's identity plus that
-        restriction — shared conjunct objects hit across specs.
-        """
-        proposals: list[list[Value]] = []
-        for i in self.proposers.get(label, ()):
-            conjunct = self.conjuncts[i]
-            # The conjunct object itself is part of the key: identity
-            # addressing that also pins it alive in the shared cache
-            # (value ids are stable — the context keeps the function's
-            # values alive for the cache's whole lifetime).
-            key = (
-                conjunct,
-                label,
-                tuple(
-                    (l, id(assignment[l]))
-                    for l in sorted(self.labelsets[i])
-                    if l in assignment
-                ),
-            )
-            try:
-                candidates = memo[key]
-                stats.proposal_cache_hits += 1
-            except KeyError:
-                candidates = conjunct.propose(ctx, assignment, label)
-                if candidates is not None:
-                    candidates = list(candidates)
-                memo[key] = candidates
-            if candidates is not None:
-                proposals.append(candidates)
-        if not proposals:
-            return None
-        return intersect_proposals(proposals)
-
 
 def compile_spec(spec: IdiomSpec) -> CompiledSpec:
     """The compiled form of ``spec`` (cached on the spec object)."""
@@ -478,184 +418,20 @@ def detect(
     spec: IdiomSpec,
     stats: SolverStats | None = None,
     limit: int | None = None,
-    incremental: bool = True,
     cache: SharedSolverCache | None = None,
-    engine: str | None = None,
 ) -> list[dict[str, Value]]:
-    """All assignments satisfying ``spec`` in ``ctx``'s function.
+    """All assignments satisfying ``spec`` in ``ctx``'s function, in
+    enumeration order (at most ``limit`` of them).
 
-    ``engine`` picks the execution strategy:
-
-    * ``"compiled"`` — the flat-evaluation-plan engine
-      (:func:`~repro.constraints.plan.detect_plan`): slot-indexed atom
-      closures, compile-time redundancy pruning (recorded in
-      ``SolverStats.evals_pruned``), optional vectorized candidate
-      filtering and partial-prefix trie replay.  Identical solutions
-      and search counters; ``constraint_evals`` reflects only the
-      evaluations actually performed;
-    * ``"interpreted"`` — this module's constraint-object interpreter,
-      the differential oracle.  ``incremental=False`` further selects
-      the naive full-tree walk (the original Fig. 6 formulation)
-      instead of the per-depth conjunct index;
-    * None (default) — ``"compiled"`` when ``incremental`` is true,
-      the interpreted tree walk otherwise, preserving the historical
-      meaning of ``incremental=False``.
-
-    Both engines accept/reject exactly the same partial assignments
-    and return solutions in the same order.
-
-    ``cache`` defaults to ``ctx.solver_cache`` — the per-context shared
-    state (memoized proposals, solved base prefixes).  Pass a fresh
-    :class:`SharedSolverCache` for fully per-call state (the PR-1
-    engine; used by differential tests and the pipeline benchmark).
+    Runs the spec's compiled flat plan
+    (:func:`~repro.constraints.plan.detect_plan`).  Search effort is
+    added to ``stats``; ``constraint_evals`` counts the evaluations
+    performed and ``evals_pruned`` those the plan compiler proved
+    redundant.  ``cache`` defaults to ``ctx.solver_cache``, the
+    per-context shared state (memoized proposals, solved base
+    prefixes).
     """
-    if engine is None:
-        engine = "compiled" if incremental else "interpreted"
-    if engine == "compiled":
-        from .plan import detect_plan
-
-        return detect_plan(ctx, spec, stats=stats, limit=limit, cache=cache)
-    if engine != "interpreted":
-        raise ValueError(
-            f"unknown solver engine {engine!r} "
-            "(expected 'compiled' or 'interpreted')"
-        )
-    compiled = compile_spec(spec)
-    order = spec.label_order
-    conjuncts = compiled.conjuncts
-    results: list[dict[str, Value]] = []
-    assignment: dict[str, Value] = {}
-    stats = stats if stats is not None else SolverStats()
-    cache = cache if cache is not None else ctx.solver_cache
-    memo = cache.proposal_memo
-    all_indices = tuple(range(len(conjuncts)))
-    # The bound-label set at depth k is always exactly order[:k] (the
-    # replayed prefix is an order prefix too) — precompute the
-    # frozensets once instead of rebuilding one per search node.
-    prefix_sets = [
-        frozenset(order[:k]) for k in range(len(order) + 1)
-    ]
-
-    def partial_ok(k: int) -> bool:
-        indices = compiled.schedule[k] if incremental else all_indices
-        for i in indices:
-            stats.constraint_evals += 1
-            if not conjuncts[i].partial_check(ctx, assignment):
-                return False
-        return True
-
-    def recurse(k: int) -> bool:
-        if limit is not None and len(results) >= limit:
-            return False
-        if k == len(order):
-            results.append(dict(assignment))
-            stats.solutions += 1
-            return True
-        label = order[k]
-        candidates = compiled.propose(ctx, assignment, label, memo, stats)
-        if candidates is None:
-            candidates = ctx.universe
-            stats.fallbacks_to_universe += 1
-        stats.record_candidates(label, prefix_sets[k], len(candidates))
-        for value in candidates:
-            assignment[label] = value
-            stats.assignments_tried += 1
-            if partial_ok(k):
-                if not recurse(k + 1):
-                    assignment.pop(label, None)
-                    return False
-            else:
-                stats.partial_rejections += 1
-        assignment.pop(label, None)
-        return True
-
-    prefix = _base_prefix_solutions(
-        ctx, spec, compiled, stats, cache, incremental, limit
-    )
-    if prefix is None:
-        recurse(0)
-    else:
-        stats.prefix_reuses += 1
-        k = compiled.prefix_len
-        for base_solution in prefix:
-            if limit is not None and len(results) >= limit:
-                break
-            assignment.clear()
-            assignment.update(base_solution)
-            # Re-validate the extension conjuncts that touch base
-            # labels — the base search never saw them.  (The base's own
-            # conjuncts hold exactly: a base solution satisfies them by
-            # construction, which is what makes the replay sound.)
-            ok = True
-            for i in compiled.replay_indices:
-                stats.constraint_evals += 1
-                if not conjuncts[i].partial_check(ctx, assignment):
-                    stats.partial_rejections += 1
-                    ok = False
-                    break
-            if ok:
-                recurse(k)
-        assignment.clear()
-    return results
-
-
-def _base_prefix_solutions(
-    ctx: SolverContext,
-    spec: IdiomSpec,
-    compiled: CompiledSpec,
-    stats: SolverStats,
-    cache: SharedSolverCache,
-    incremental: bool,
-    limit: int | None,
-):
-    """Solved base-prefix tuples for an extending spec, or None.
-
-    The base's solution list is computed at most once per cache (the
-    first extending spec pays; later specs replay for free) by a nested
-    :func:`detect` whose search effort is charged to the caller's
-    ``stats``.  A ``limit``-bounded search never *computes* the base
-    (full base enumeration could dwarf the bounded search it serves) —
-    it only replays a list some unbounded search already paid for.
-    """
-    if not incremental or compiled.prefix_len == 0:
-        return None
-    base = spec.base
-    solutions = cache.solutions_for(base)
-    if solutions is None:
-        if limit is not None:
-            return None
-        base_stats = SolverStats()
-        # Stay on the interpreted engine: a caller that chose it (the
-        # differential oracle) must not have its base search silently
-        # routed through the compiled plan.
-        solutions = detect(
-            ctx, base, stats=base_stats, cache=cache, engine="interpreted"
-        )
-        cache.store_solutions(base, solutions)
-        # Charge the base search's effort — but not its solution count
-        # (or prefix-reuse tally) — to the caller: the prefix work
-        # happened on this detect's dime.
-        base_stats.solutions = 0
-        base_stats.prefix_reuses = 0
-        stats.merge(base_stats)
-    return solutions
-
-
-def detect_brute_force(
-    ctx: SolverContext, spec: IdiomSpec, stats: SolverStats | None = None
-) -> list[dict[str, Value]]:
-    """Enumerate ``values(F)^I`` and filter — exponential, tests only."""
-    order = spec.label_order
-    root = spec.constraint
-    results = []
-    stats = stats if stats is not None else SolverStats()
-    for combo in itertools.product(ctx.universe, repeat=len(order)):
-        stats.assignments_tried += 1
-        assignment = dict(zip(order, combo))
-        if root.check(ctx, assignment):
-            results.append(assignment)
-            stats.solutions += 1
-    return results
+    return detect_plan(ctx, spec, stats=stats, limit=limit, cache=cache)
 
 
 #: Memoized :func:`suggest_order` results, keyed by

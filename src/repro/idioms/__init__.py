@@ -1,4 +1,4 @@
-"""Idiom specifications: for loops, scalar reductions, histograms."""
+"""Idiom detection: registry, drivers, post-processing and reports."""
 
 from .detect import (
     find_for_loops,
@@ -8,19 +8,10 @@ from .detect import (
 from .extensions import (
     ExtendedReport,
     FunctionExtensions,
-    argminmax_spec,
-    dot_product_spec,
     find_extended_in_function,
     find_extended_reductions,
-    nested_array_reduction_spec,
 )
-from .forloop import (
-    FOR_LOOP_LABEL_ORDER,
-    ForLoopMatch,
-    for_loop_constraint,
-    for_loop_spec,
-)
-from .histogram import HISTOGRAM_LABEL_ORDER, histogram_constraint, histogram_spec
+from .forloop import ForLoopMatch
 from .postprocess import (
     accumulator_confined,
     alias_checks_for,
@@ -44,11 +35,6 @@ from .reports import (
     ReductionOp,
     ScalarReduction,
 )
-from .scalar_reduction import (
-    SCALAR_REDUCTION_LABEL_ORDER,
-    scalar_reduction_constraint,
-    scalar_reduction_spec,
-)
 
 __all__ = [
     "find_reductions",
@@ -61,16 +47,7 @@ __all__ = [
     "EXTENSION_IDIOMS",
     "default_registry",
     "reset_default_registry",
-    "for_loop_spec",
-    "for_loop_constraint",
     "ForLoopMatch",
-    "FOR_LOOP_LABEL_ORDER",
-    "scalar_reduction_spec",
-    "scalar_reduction_constraint",
-    "SCALAR_REDUCTION_LABEL_ORDER",
-    "histogram_spec",
-    "histogram_constraint",
-    "HISTOGRAM_LABEL_ORDER",
     "classify_update",
     "accumulator_confined",
     "base_memory_ops_confined",
@@ -85,7 +62,4 @@ __all__ = [
     "find_extended_in_function",
     "ExtendedReport",
     "FunctionExtensions",
-    "dot_product_spec",
-    "argminmax_spec",
-    "nested_array_reduction_spec",
 ]

@@ -17,13 +17,10 @@ DSL, run by the unmodified solver:
   whose address is indexed by inner iterators only, making the *outer*
   loop privatizable.
 
-Like the core idioms, the extensions ship as ``.icsl`` files
+Like the core idioms, the extensions are ``.icsl`` files
 (``specs/{dot_product,argminmax,nested_reduction}.icsl``) resolved
-through the :class:`~repro.idioms.registry.IdiomRegistry`; the
-``*_spec()`` functions below are the native fallbacks, built from the
-same named predicate atoms (:mod:`repro.constraints.predicates`) and
-``flow(...)`` policies so the two paths cannot drift — the differential
-tests compare them solution-for-solution.
+through the :class:`~repro.idioms.registry.IdiomRegistry`; this module
+only turns their solutions into match records.
 
 :func:`find_extended_reductions` runs all three on a module;
 :func:`find_extended_in_function` is the per-function entry the
@@ -38,67 +35,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..constraints import (
-    ConstraintAnd,
-    Distinct,
-    IdiomSpec,
-    InBlock,
-    Opcode,
-    PhiIncomingFromBlock,
-    PhiOfTwo,
-    SolverContext,
-    SolverStats,
-    declarative_flow,
-    detect,
-)
-from ..constraints.predicates import (
-    guard_matches_candidate,
-    load_before_store,
-    ordering_cmp,
-    same_join,
-    store_in_subloop,
-)
+from ..constraints import SolverContext, SolverStats, detect
 from ..ir.block import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import PhiInst
 from ..ir.module import Module
 from ..ir.values import Value
-from .forloop import FOR_LOOP_LABEL_ORDER, for_loop_constraint, loop_invariant_in
 from .postprocess import classify_update
 from .reports import ReductionOp
-
-# ---------------------------------------------------------------------------
-# Dot product
-# ---------------------------------------------------------------------------
-
-DOT_PRODUCT_LABEL_ORDER: tuple[str, ...] = FOR_LOOP_LABEL_ORDER + (
-    "acc", "update", "acc_init", "product", "load_a", "load_b",
-    "gep_a", "gep_b", "base_a", "base_b",
-)
-
-
-def dot_product_spec() -> IdiomSpec:
-    """``acc' = acc + a[i] * b[i]`` with two distinct arrays."""
-    constraint = ConstraintAnd(
-        for_loop_constraint(),
-        PhiOfTwo("acc", "update", "acc_init"),
-        InBlock("acc", "header"),
-        PhiIncomingFromBlock("acc", "update", "latch"),
-        PhiIncomingFromBlock("acc", "acc_init", "entry"),
-        loop_invariant_in("acc_init", "entry"),
-        Opcode("update", "fadd", ("acc", "product"), commutative=True),
-        Opcode("product", "fmul", ("load_a", "load_b"), commutative=True),
-        Opcode("load_a", "load", ("gep_a",)),
-        Opcode("load_b", "load", ("gep_b",)),
-        Opcode("gep_a", "gep", ("base_a", None)),
-        Opcode("gep_b", "gep", ("base_b", None)),
-        Distinct("base_a", "base_b"),
-        Distinct("acc", "iterator"),
-        declarative_flow("update", "header", sources=("acc",),
-                         rejected=("iterator",), index=("iterator",),
-                         affine=True),
-    )
-    return IdiomSpec("dot-product", DOT_PRODUCT_LABEL_ORDER, constraint)
 
 
 @dataclass
@@ -118,55 +62,6 @@ class DotProductMatch:
             f"{self.function.name}:{self.header.name}:"
             f"{self.base_a.short_name()}x{self.base_b.short_name()}"
         )
-
-
-# ---------------------------------------------------------------------------
-# Argmin / argmax
-# ---------------------------------------------------------------------------
-
-ARGMINMAX_LABEL_ORDER: tuple[str, ...] = FOR_LOOP_LABEL_ORDER + (
-    "best", "best_update", "best_init",
-    "candidate",
-    "pos", "pos_update", "pos_init", "pos_candidate",
-    "cmp",
-)
-
-
-def argminmax_spec() -> IdiomSpec:
-    """Guarded best-value / best-index pair:
-
-    ``if (cmp(a[i], best)) { best = a[i]; pos = i; }``
-
-    After lowering, ``best_update``/``pos_update`` are PHIs at the same
-    join block, selecting between the carried values and the candidate
-    pair, with the guard comparing the candidate against ``best``.
-    """
-    constraint = ConstraintAnd(
-        for_loop_constraint(),
-        # The tracked best value.
-        PhiOfTwo("best", "best_update", "best_init"),
-        InBlock("best", "header"),
-        PhiIncomingFromBlock("best", "best_update", "latch"),
-        PhiIncomingFromBlock("best", "best_init", "entry"),
-        loop_invariant_in("best_init", "entry"),
-        # The tracked index.
-        PhiOfTwo("pos", "pos_update", "pos_init"),
-        InBlock("pos", "header"),
-        PhiIncomingFromBlock("pos", "pos_update", "latch"),
-        PhiIncomingFromBlock("pos", "pos_init", "entry"),
-        loop_invariant_in("pos_init", "entry"),
-        Distinct("best", "pos", "iterator"),
-        # Join PHIs select carried vs candidate.
-        PhiOfTwo("best_update", "best", "candidate"),
-        PhiOfTwo("pos_update", "pos", "pos_candidate"),
-        same_join("best_update", "pos_update"),
-        # The guard compares the candidate (or an equivalent
-        # recomputation of it) against the best value.
-        Opcode("cmp", ("fcmp", "icmp"), (None, None)),
-        ordering_cmp("cmp"),
-        guard_matches_candidate("cmp", "best", "candidate"),
-    )
-    return IdiomSpec("argminmax", ARGMINMAX_LABEL_ORDER, constraint)
 
 
 @dataclass
@@ -189,43 +84,6 @@ class ArgMinMaxMatch:
         )
 
 
-# ---------------------------------------------------------------------------
-# Nested array reduction (the SP rms pattern)
-# ---------------------------------------------------------------------------
-
-NESTED_ARRAY_LABEL_ORDER: tuple[str, ...] = FOR_LOOP_LABEL_ORDER + (
-    "arr_store", "gep_st", "base", "idx", "gep_ld", "arr_load", "update",
-)
-
-
-def nested_array_reduction_spec() -> IdiomSpec:
-    """Array reduction carried by a non-innermost loop (SP's ``rms``).
-
-    Crucially the idx flow rejects the *outer* iterator even inside
-    addresses (no ``index=``): if the address varied with the outer
-    loop this would be a parallel write, and if it read the array a
-    true dependence.
-    """
-    constraint = ConstraintAnd(
-        for_loop_constraint(),
-        Opcode("arr_store", "store", ("update", "gep_st")),
-        Opcode("gep_st", "gep", ("base", "idx")),
-        Opcode("gep_ld", "gep", ("base", "idx")),
-        Opcode("arr_load", "load", ("gep_ld",)),
-        loop_invariant_in("base", "entry"),
-        store_in_subloop("header", "arr_store"),
-        load_before_store("arr_load", "arr_store"),
-        declarative_flow("idx", "header", rejected=("iterator",),
-                         forbidden=("base",)),
-        declarative_flow("update", "header", sources=("arr_load",),
-                         rejected=("iterator",), forbidden=("base",),
-                         index=("iterator",)),
-    )
-    return IdiomSpec(
-        "nested-array-reduction", NESTED_ARRAY_LABEL_ORDER, constraint
-    )
-
-
 @dataclass
 class NestedArrayReduction:
     """One detected non-innermost array reduction."""
@@ -242,11 +100,6 @@ class NestedArrayReduction:
             f"{self.function.name}:{self.header.name}:"
             f"{self.base.short_name()}"
         )
-
-
-# ---------------------------------------------------------------------------
-# Driver
-# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -291,9 +144,7 @@ def find_extended_in_function(
     registry=None,
     ctx: SolverContext | None = None,
     stats: SolverStats | None = None,
-    shared_cache: bool = True,
     spec_stats: dict[str, SolverStats] | None = None,
-    engine: str | None = None,
 ) -> FunctionExtensions:
     """Run the three extension idioms on one function.
 
@@ -301,14 +152,10 @@ def find_extended_in_function(
     default).  Passing the ``ctx`` the base detection already built
     shares every cached analysis *and* the solved for-loop prefix with
     the scalar/histogram searches — the pipeline's cache-sharing path.
-    ``shared_cache=False`` gives every spec private solver state (the
-    PR-1 baseline).  ``spec_stats`` collects each extension spec's
-    search effort under its own name (the solver feedback store's
-    per-spec signal) in addition to the ``stats`` aggregate.  ``engine``
-    selects the solver execution engine per
-    :func:`~repro.constraints.detect`.
+    ``spec_stats`` collects each extension spec's search effort under
+    its own name (the solver feedback store's per-spec signal) in
+    addition to the ``stats`` aggregate.
     """
-    from ..constraints import SharedSolverCache
     from .registry import default_registry
 
     registry = registry if registry is not None else default_registry()
@@ -317,10 +164,8 @@ def find_extended_in_function(
     seen: set[tuple] = set()
 
     def run(spec):
-        cache = ctx.solver_cache if shared_cache else SharedSolverCache()
         local = SolverStats()
-        solutions = detect(ctx, spec, stats=local, cache=cache,
-                           engine=engine)
+        solutions = detect(ctx, spec, stats=local)
         if spec_stats is not None:
             spec_stats.setdefault(spec.name, SolverStats()).merge(local)
         if stats is not None:

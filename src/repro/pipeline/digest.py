@@ -320,9 +320,9 @@ class CorpusReport:
         """The comparison-relevant content as nested plain tuples.
 
         ``effort=False`` drops the search-effort counters, leaving only
-        the detections — the form in which a shared-cache run and the
-        per-call PR-1 engine must agree (they do the same detections
-        with different amounts of work).
+        the detections — the form in which two runs that do the same
+        detections with different amounts of work (different label
+        orders, say) must agree.
         """
         return tuple(
             (

@@ -92,9 +92,13 @@ def outline_loop(module: Module, plan: ParallelPlan,
         if histogram.base not in hist_bases:
             hist_bases.append(histogram.base)
 
+    # ``loop.blocks`` is a set of identity-hashed blocks; walking it
+    # would number the closure parameters in a run-dependent order.
+    ordered_blocks = [b for b in function.blocks if b in loop.blocks]
+
     # ---- discover closure values -------------------------------------------
     loop_values: set[int] = set()
-    for block in loop.blocks:
+    for block in ordered_blocks:
         loop_values.add(id(block))
         for instruction in block.instructions:
             loop_values.add(id(instruction))
@@ -111,7 +115,7 @@ def outline_loop(module: Module, plan: ParallelPlan,
             return False
         return isinstance(value, (Instruction, Argument))
 
-    for block in loop.blocks:
+    for block in ordered_blocks:
         for instruction in block.instructions:
             if isinstance(instruction, PhiInst) and block is header:
                 continue  # header phi externals handled via begin/identity
@@ -157,7 +161,6 @@ def outline_loop(module: Module, plan: ParallelPlan,
     # ---- clone blocks -----------------------------------------------------------
     entry = task.add_block("entry")
     block_map: dict[int, BasicBlock] = {}
-    ordered_blocks = [b for b in function.blocks if b in loop.blocks]
     for block in ordered_blocks:
         block_map[id(block)] = task.add_block(f"{block.name}")
     exit_block = task.add_block("task.exit")

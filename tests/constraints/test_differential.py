@@ -11,14 +11,14 @@ shipped idioms (core + §8 extensions) and a small C-source corpus:
   paper's point.
 
 * file-spec ≡ native-spec — every shipped ``.icsl`` port produces the
-  identical solution set to its native Python counterpart, on every
-  corpus program, for the full specs.
+  identical solution set to its native Python twin (both kept in
+  ``oracle.py``), on every corpus program, for the full specs.
 
 * shared-cache ≡ per-call-cache — running every spec against one
   context's :class:`~repro.constraints.SharedSolverCache` (memoized
   proposals shared across specs, solved for-loop prefixes replayed)
-  returns the identical solution list, in the identical order, as the
-  PR-1 engine's per-``detect``-call state.
+  returns the identical solution list, in the identical order, as a
+  fresh per-``detect``-call cache.
 
 The helpers (:func:`solution_set`, :func:`assert_same_solutions`,
 :func:`contexts_for`) are reusable for future idioms: add a spec pair
@@ -36,20 +36,17 @@ from repro.constraints import (
     SolverContext,
     SolverStats,
     detect,
-    detect_brute_force,
     load_spec_file,
 )
 from repro.constraints.predicates import load_before_store, same_join
 from repro.constraints.specfile import builtin_spec_path
 from repro.frontend import compile_source
-from repro.idioms import (
-    BUILTIN_IDIOMS,
-    IdiomRegistry,
-    argminmax_spec,
-    dot_product_spec,
-    for_loop_spec,
+from repro.idioms import BUILTIN_IDIOMS, IdiomRegistry
+
+from oracle import (
+    NATIVE_SPECS,
+    detect_brute_force,
     histogram_spec,
-    nested_array_reduction_spec,
     scalar_reduction_spec,
 )
 
@@ -131,16 +128,6 @@ CORPUS = {
         }
         """,
 }
-
-NATIVE_SPECS = {
-    "for-loop": for_loop_spec,
-    "scalar-reduction": scalar_reduction_spec,
-    "histogram": histogram_spec,
-    "dot-product": dot_product_spec,
-    "argminmax": argminmax_spec,
-    "nested-array-reduction": nested_array_reduction_spec,
-}
-
 
 # -- the reusable harness -----------------------------------------------------
 
@@ -267,7 +254,7 @@ def test_all_builtin_idioms_covered():
 def test_shared_cache_matches_per_call_cache(program):
     """One context's shared cache (memoized proposals + replayed
     for-loop prefixes, accumulated across all six specs) returns the
-    identical solution list — order included — as PR-1's fresh
+    identical solution list — order included — as fresh
     per-``detect``-call state."""
     registry = IdiomRegistry()
     for ctx in contexts_for(CORPUS[program]):
@@ -299,8 +286,8 @@ def test_limit_bounded_search_never_computes_the_base():
 
 def test_shared_cache_saves_constraint_evals():
     """Running the extends-family specs on one context must replay the
-    solved for-loop prefix: fewer total conjunct evaluations than the
-    per-call engine, for the same solutions."""
+    solved for-loop prefix: fewer total conjunct evaluations than
+    per-call caches, for the same solutions."""
     registry = IdiomRegistry()
     specs = [registry.spec(n) for n in ("scalar-reduction", "histogram")]
     for ctx in contexts_for(CORPUS["histogram"]):

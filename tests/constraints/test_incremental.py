@@ -1,10 +1,11 @@
-"""Tests for the incremental solver core.
+"""Tests for the per-depth conjunct index and label ordering.
 
-The indexed ``partial_check`` path (re-check only conjuncts mentioning
-the newest binding) must accept and reject **exactly** the same partial
-assignments as the naive full-tree walk — same solutions in the same
-order, same ``assignments_tried``, same ``partial_rejections`` — while
-strictly reducing ``constraint_evals``.  Plus property tests that
+The indexed ``partial_check`` walk (re-check only conjuncts mentioning
+the newest binding; ``oracle.detect_interpreted``) must accept and
+reject **exactly** the same partial assignments as the naive full-tree
+walk — same solutions in the same order, same ``assignments_tried``,
+same ``partial_rejections`` — while strictly reducing
+``constraint_evals``.  Plus property tests that
 :func:`~repro.constraints.solver.suggest_order` (and label reordering
 in general) never changes the solution set.
 """
@@ -21,37 +22,46 @@ from repro.constraints import (
     suggest_order,
 )
 from repro.frontend import compile_source
-from repro.idioms import (
-    BUILTIN_IDIOMS,
+from repro.idioms import BUILTIN_IDIOMS
+
+from oracle import (
+    NATIVE_SPECS,
+    detect_interpreted,
     for_loop_spec,
-    histogram_spec,
     scalar_reduction_spec,
 )
-
-from test_differential import CORPUS, NATIVE_SPECS, contexts_for, solution_set
+from test_differential import CORPUS, contexts_for, solution_set
 
 
 @pytest.mark.parametrize("idiom", sorted(NATIVE_SPECS))
 @pytest.mark.parametrize("program", sorted(CORPUS))
 def test_incremental_equals_naive_tree_walk(idiom, program):
+    """The compiled ``detect`` and the oracle's index walk both match
+    the naive walk decision for decision, with fewer evaluations."""
     spec = NATIVE_SPECS[idiom]()
     for ctx in contexts_for(CORPUS[program]):
-        inc_stats, naive_stats = SolverStats(), SolverStats()
-        incremental = detect(ctx, spec, stats=inc_stats, incremental=True)
-        naive = detect(ctx, spec, stats=naive_stats, incremental=False)
-        # Identical enumeration: same solutions in the same order...
-        assert incremental == naive
-        # ...from identical accept/reject decisions at every depth.
-        assert inc_stats.assignments_tried == naive_stats.assignments_tried
-        assert inc_stats.partial_rejections == naive_stats.partial_rejections
-        assert inc_stats.solutions == naive_stats.solutions
-        assert inc_stats.fallbacks_to_universe == (
-            naive_stats.fallbacks_to_universe
+        naive_stats = SolverStats()
+        naive = detect_interpreted(ctx, spec, stats=naive_stats,
+                                   incremental=False)
+        compiled_stats, index_stats = SolverStats(), SolverStats()
+        runs = (
+            (detect(ctx, spec, stats=compiled_stats), compiled_stats),
+            (detect_interpreted(ctx, spec, stats=index_stats), index_stats),
         )
-        # The index only pays for conjuncts the newest binding affects.
-        assert inc_stats.constraint_evals <= naive_stats.constraint_evals
-        if naive_stats.assignments_tried:
-            assert inc_stats.constraint_evals < naive_stats.constraint_evals
+        for solutions, stats in runs:
+            # Identical enumeration: same solutions in the same order...
+            assert solutions == naive
+            # ...from identical accept/reject decisions at every depth.
+            assert stats.assignments_tried == naive_stats.assignments_tried
+            assert stats.partial_rejections == naive_stats.partial_rejections
+            assert stats.solutions == naive_stats.solutions
+            assert stats.fallbacks_to_universe == (
+                naive_stats.fallbacks_to_universe
+            )
+            # Only conjuncts the newest binding affects are paid for.
+            assert stats.constraint_evals <= naive_stats.constraint_evals
+            if naive_stats.assignments_tried:
+                assert stats.constraint_evals < naive_stats.constraint_evals
 
 
 def test_compiled_schedule_covers_every_conjunct():

@@ -1,15 +1,15 @@
 """Differential suite for the compiled plan engine.
 
-The interpreted solver (:mod:`repro.constraints.solver`) is the
-oracle; :func:`repro.constraints.plan.detect_plan` must match it
+The interpreted solver (``oracle.detect_interpreted``) is the oracle;
+:func:`repro.constraints.detect`, the compiled plan engine, must match
+it
 
 * in **solutions** — the identical list, order included;
 * in **statistics** — every :class:`SolverStats` counter equal, except
   the eval reconciliation invariant ``interpreted.constraint_evals ==
   compiled.constraint_evals + compiled.evals_pruned`` (the compiled
   engine performs fewer evaluations but accounts for every skipped one
-  position-exactly);
-* in **fingerprints** — corpus reports are engine-independent.
+  position-exactly).
 
 The matrix runs every shipped ``.icsl`` spec over the differential C
 corpus, then hypothesis-randomized label/conjunct orders over the
@@ -18,6 +18,8 @@ partial-prefix replay trie (hit, miss and limit-bounded paths),
 universe-fallback searches over large candidate batches, and the
 plan/codegen cache.
 """
+
+import inspect
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,8 @@ from repro.constraints import (
 )
 from repro.constraints.plan import _UNBOUND, compile_plan, detect_plan
 from repro.idioms import BUILTIN_IDIOMS, IdiomRegistry
+
+from oracle import detect_interpreted
 from test_differential import CORPUS, MINI_SPECS, contexts_for, solution_set
 
 REGISTRY = IdiomRegistry()
@@ -58,10 +62,10 @@ def assert_stats_reconcile(interpreted: SolverStats, compiled: SolverStats):
 def assert_engines_agree(ctx, spec):
     """Run both engines on fresh caches; returns the compiled stats."""
     interp_stats, comp_stats = SolverStats(), SolverStats()
-    interpreted = detect(ctx, spec, stats=interp_stats,
-                         cache=SharedSolverCache(), engine="interpreted")
+    interpreted = detect_interpreted(ctx, spec, stats=interp_stats,
+                                     cache=SharedSolverCache())
     compiled = detect(ctx, spec, stats=comp_stats,
-                      cache=SharedSolverCache(), engine="compiled")
+                      cache=SharedSolverCache())
     assert compiled == interpreted  # the list: solutions AND their order
     assert_stats_reconcile(interp_stats, comp_stats)
     return comp_stats
@@ -92,18 +96,22 @@ def test_compiled_matches_interpreted_shared_cache(program):
         interp_cache, comp_cache = SharedSolverCache(), SharedSolverCache()
         for name in sorted(BUILTIN_IDIOMS):
             spec = REGISTRY.spec(name)
-            interpreted = detect(ctx, spec, stats=interp_stats,
-                                 cache=interp_cache, engine="interpreted")
+            interpreted = detect_interpreted(ctx, spec, stats=interp_stats,
+                                             cache=interp_cache)
             compiled = detect(ctx, spec, stats=comp_stats,
-                              cache=comp_cache, engine="compiled")
+                              cache=comp_cache)
             assert compiled == interpreted, name
         assert interp_stats.prefix_reuses > 0  # replay actually engaged
         assert_stats_reconcile(interp_stats, comp_stats)
 
 
-def test_detect_routes_engines():
-    """``engine=`` selects the implementation; the default is the
-    compiled engine (observable through its pruning counters)."""
+def test_detect_is_the_compiled_engine():
+    """``detect`` takes no engine switch and runs the compiled plan
+    (observable through its pruning counters); the oracle, in its
+    index and naive forms, prunes nothing and finds the same list."""
+    assert list(inspect.signature(detect).parameters) == [
+        "ctx", "spec", "stats", "limit", "cache",
+    ]
     spec = REGISTRY.spec("scalar-reduction")
     ctx = contexts_for(CORPUS["scalar-sum"])[0]
     default_stats = SolverStats()
@@ -111,19 +119,16 @@ def test_detect_routes_engines():
                      cache=SharedSolverCache())
     assert default_stats.evals_pruned > 0
     interp_stats = SolverStats()
-    interpreted = detect(ctx, spec, stats=interp_stats,
-                         cache=SharedSolverCache(), engine="interpreted")
+    interpreted = detect_interpreted(ctx, spec, stats=interp_stats,
+                                     cache=SharedSolverCache())
     assert interp_stats.evals_pruned == 0
     assert interp_stats.conjuncts_pruned == 0
     assert default == interpreted
-    # The naive full-tree walk stays reachable, and stays interpreted.
     naive_stats = SolverStats()
-    naive = detect(ctx, spec, stats=naive_stats,
-                   cache=SharedSolverCache(), incremental=False)
+    naive = detect_interpreted(ctx, spec, stats=naive_stats,
+                               cache=SharedSolverCache(), incremental=False)
     assert naive == interpreted
     assert naive_stats.evals_pruned == 0
-    with pytest.raises(ValueError, match="unknown solver engine"):
-        detect(ctx, spec, engine="jit")
 
 
 # -- hypothesis: random label and conjunct orders -----------------------------
@@ -190,8 +195,8 @@ def test_partial_prefix_trie_replay_matches_interpreted():
     assert plan.partial_len == 8
     for program in ("scalar-sum", "nested-sum", "iterator-carried"):
         for ctx in contexts_for(CORPUS[program]):
-            interpreted = detect(ctx, spec, cache=SharedSolverCache(),
-                                 engine="interpreted")
+            interpreted = detect_interpreted(ctx, spec,
+                                             cache=SharedSolverCache())
             stats = SolverStats()
             compiled = detect_plan(ctx, spec, stats=stats,
                                    cache=SharedSolverCache())

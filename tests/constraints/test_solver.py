@@ -11,10 +11,10 @@ from repro.constraints import (
     SolverContext,
     SolverStats,
     detect,
-    detect_brute_force,
 )
 from repro.frontend import compile_source
-from repro.idioms import for_loop_spec
+
+from oracle import detect_brute_force, for_loop_spec
 
 
 def _tiny_ctx():

@@ -171,18 +171,30 @@ def test_unknown_idiom_lookup_names_known_ones():
         IdiomRegistry().spec("no-such-idiom")
 
 
-def test_native_fallback_when_spec_files_missing(monkeypatch):
+def test_missing_builtin_spec_raises_naming_its_path(monkeypatch):
+    """No silent substitute: a built-in spec file that is missing,
+    unparsable or defines the wrong idiom is an error naming the file."""
     monkeypatch.setattr(
         registry_module, "builtin_spec_path",
-        lambda name: "/nonexistent/" + name,
+        lambda name: "/nonexistent/" + name + ".icsl",
     )
-    registry = IdiomRegistry()
-    assert set(registry.names()) == set(BUILTIN_IDIOMS)
-    for name in BUILTIN_IDIOMS:
-        assert registry.entry(name).source == "native"
-    module = compile_source(SOURCE)
-    report = find_reductions(module, registry=registry)
-    assert report.counts() == (1, 1)
+    with pytest.raises(SpecFileError, match="/nonexistent/for-loop.icsl"):
+        IdiomRegistry()
+
+
+def test_broken_builtin_spec_raises_naming_its_path(monkeypatch, tmp_path):
+    broken = tmp_path / "broken.icsl"
+    broken.write_text("idiom for-loop {\n  order: header\n  nonsense(\n")
+    wrong = tmp_path / "wrong.icsl"
+    wrong.write_text("idiom other {\n  order: x\n  opcode(x, phi)\n}\n")
+    for path, message in ((broken, "cannot load"),
+                          (wrong, "does not define")):
+        monkeypatch.setattr(registry_module, "builtin_spec_path",
+                            lambda name, _p=str(path): _p)
+        with pytest.raises(SpecFileError, match=message) as excinfo:
+            IdiomRegistry()
+        assert str(path) in str(excinfo.value)
+        assert excinfo.value.path == str(path)
 
 
 def test_default_registry_is_cached_and_resettable():

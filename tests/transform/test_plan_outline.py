@@ -183,3 +183,32 @@ def test_kmeans_style_failure_reason():
         "multiple histogram updates in a nested loop" in f.reason
         for f in failures
     )
+
+
+#: Programs whose outlined tasks have several closure values (MG,
+#: histo, tpacf, kmeans) plus two with few (EP, sad).
+_OUTLINE_PROGRAMS = (
+    ("MG", "NAS"), ("histo", "Parboil"), ("tpacf", "Parboil"),
+    ("kmeans", "Rodinia"), ("EP", "NAS"), ("sad", "Parboil"),
+)
+
+
+@pytest.mark.parametrize("key", _OUTLINE_PROGRAMS,
+                         ids=["/".join(k) for k in _OUTLINE_PROGRAMS])
+def test_outlined_ir_is_reproducible(key):
+    """compile → detect → plan → outline prints one module text, run
+    after run: closure parameters are numbered in block order, not in
+    the order of an identity-hashed block set."""
+    from repro.ir.printer import print_module
+    from repro.workloads import program
+
+    texts = set()
+    for _ in range(8):
+        module = program(*key).fresh_module()
+        report = find_reductions(module)
+        for reductions in report.functions:
+            plans, _ = plan_all(module, reductions)
+            for plan in plans:
+                outline_loop(module, plan)
+        texts.add(print_module(module))
+    assert len(texts) == 1
